@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -515,6 +517,64 @@ func TestRetryableFailuresRetry(t *testing.T) {
 	}
 }
 
+// TestExecOnceClassifiesPanics pins the in-process recover contract: a
+// FailFast checker's *sim.CheckError panic is ledgered under the "check"
+// stage as a non-retryable verdict, any other panic as a "measure"-stage
+// recovered panic, and neither takes down the rest of the campaign.
+// Single-core cells are labelled by workload name, mixes by cell ID.
+func TestExecOnceClassifiesPanics(t *testing.T) {
+	healthy := tinySpec(t, 1).Cells[0]
+	panicky := tinySpec(t, 2).Cells[1]
+	panicky.ID = "panic"
+	panicky.Config.FaultInject = faultinject.New(faultinject.Config{PanicAtRecord: 1_000})
+	leaky := tinySpec(t, 3).Cells[2]
+	leaky.ID = "check"
+	leaky.Config.Check = sim.CheckConfig{Enabled: true, FailFast: true}
+	leaky.Config.FaultInject = faultinject.New(faultinject.Config{MSHRLeakEveryN: 20})
+	per := tinyConfig(t)
+	per.FaultInject = faultinject.New(faultinject.Config{PanicAtRecord: 1_000})
+	mix := Cell{
+		ID:    "mix-panic",
+		Multi: &sim.MultiConfig{PerCore: per, Cores: 2},
+		Mix:   []trace.Workload{workload(t, "spec.stream_s00"), workload(t, "gap.graph_s00")},
+	}
+	spec := Spec{Name: "panics", Cells: []Cell{healthy, panicky, leaky, mix}}
+
+	rep, err := Run(context.Background(), spec, WithWorkers(2), WithRetries(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs[healthy.ID] == nil || rep.Simulated != 1 {
+		t.Fatalf("healthy cell did not complete: simulated=%d failures=%+v", rep.Simulated, rep.Failures)
+	}
+	want := map[string]struct {
+		label, stage string
+		panicked     bool
+	}{
+		"check":     {leaky.Workload.Name, "check", false},
+		"mix-panic": {"mix-panic", "measure", true},
+		"panic":     {panicky.Workload.Name, "measure", true},
+	}
+	if len(rep.Failures) != len(want) {
+		t.Fatalf("failures = %+v, want %d", rep.Failures, len(want))
+	}
+	for _, f := range rep.Failures {
+		w := want[f.ID]
+		var re *sim.RunError
+		if !errors.As(f.Err, &re) || re.Workload != w.label || re.Stage != w.stage || re.Panicked != w.panicked {
+			t.Fatalf("cell %s ledgered as %+v, want workload %q stage %q panicked %v",
+				f.ID, re, w.label, w.stage, w.panicked)
+		}
+		if f.Attempts != 1 || sim.Retryable(f.Err) {
+			t.Fatalf("cell %s: %d attempts, retryable %v; want 1 attempt, not retryable",
+				f.ID, f.Attempts, sim.Retryable(f.Err))
+		}
+		if ce := sim.CheckFailure(f.Err); (ce != nil) != (w.stage == "check") {
+			t.Fatalf("cell %s: CheckFailure = %v", f.ID, ce)
+		}
+	}
+}
+
 // TestMixCellsCacheAndResume: multi-core mix cells go through the same
 // cache and manifest machinery as single-core cells.
 func TestMixCellsCacheAndResume(t *testing.T) {
@@ -573,5 +633,86 @@ func TestManifestToleratesTornTail(t *testing.T) {
 	empty, err := LoadManifest(filepath.Join(dir, "absent.manifest"))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("missing manifest: %v %v", empty, err)
+	}
+}
+
+// TestEventStream pins the event contract: a gapless, totally ordered
+// stream carrying each cell's lifecycle, whichever path served the cell —
+// simulation, the result cache, the resume manifest, or retries ending in
+// the failure ledger.
+func TestEventStream(t *testing.T) {
+	spec := tinySpec(t, 2)
+	// run executes spec and returns its event kinds grouped by cell, plus
+	// the raw stream.
+	run := func(opts ...Option) (map[string][]EventKind, []Event) {
+		t.Helper()
+		var mu sync.Mutex
+		var events []Event
+		opts = append(opts, WithWorkers(2), WithEvents(func(ev Event) {
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+		}))
+		if _, err := Run(context.Background(), spec, opts...); err != nil {
+			t.Fatal(err)
+		}
+		byCell := map[string][]EventKind{}
+		for i, ev := range events {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("event %d has seq %d; want a gapless total order", i, ev.Seq)
+			}
+			byCell[ev.Cell] = append(byCell[ev.Cell], ev.Kind)
+		}
+		return byCell, events
+	}
+	expect := func(what string, byCell map[string][]EventKind, id string, want ...EventKind) {
+		t.Helper()
+		if got := byCell[id]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: cell %s events = %v, want %v", what, id, got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	cold, _ := run(WithCache(dir))
+	warm, _ := run(WithCache(dir))
+	for _, c := range spec.Cells {
+		expect("cold", cold, c.ID, EventCellStarted, EventCellCompleted)
+		expect("warm", warm, c.ID, EventCellCached)
+	}
+
+	manifest := filepath.Join(t.TempDir(), "campaign.manifest")
+	run(WithResume(manifest))
+	resumed, _ := run(WithResume(manifest))
+	for _, c := range spec.Cells {
+		expect("resume", resumed, c.ID, EventCellResumed)
+	}
+
+	// The doomed cell fails retryably once, then permanently: one retry
+	// event announcing attempt 2, then a failure reporting 2 attempts.
+	doomed, healthy := spec.Cells[0].ID, spec.Cells[1].ID
+	faulted, events := run(WithRetries(3, 0),
+		WithCellFault(func(ctx context.Context, cellID string, attempt int) error {
+			switch {
+			case cellID != doomed:
+				return nil
+			case attempt == 1:
+				return &faultinject.TransientError{Err: errors.New("injected, transient")}
+			default:
+				return errors.New("injected, permanent")
+			}
+		}))
+	expect("faulted", faulted, doomed, EventCellStarted, EventCellRetried, EventCellFailed)
+	expect("faulted", faulted, healthy, EventCellStarted, EventCellCompleted)
+	for _, ev := range events {
+		switch ev.Kind {
+		case EventCellRetried:
+			if ev.Attempt != 2 || !strings.Contains(ev.Err, "transient") {
+				t.Fatalf("retry event = %+v, want attempt 2 with the transient error", ev)
+			}
+		case EventCellFailed:
+			if ev.Attempt != 2 || !strings.Contains(ev.Err, "permanent") {
+				t.Fatalf("failure event = %+v, want attempt 2 with the permanent error", ev)
+			}
+		}
 	}
 }

@@ -38,13 +38,6 @@ type Exec struct {
 	// present (with a matching content key) are resumed without
 	// simulation.
 	ResumeManifest string
-	// OnProgress, when non-nil, is invoked after every retired cell
-	// (completed or ledgered) with a consistent snapshot of the campaign's
-	// progress counters. It is called outside the engine's locks, at most
-	// once per cell, from whichever worker retired the cell — callbacks
-	// must be safe for concurrent use and should return quickly (a slow
-	// callback stalls that worker, nothing else).
-	OnProgress func(Progress)
 	// CellFault, when non-nil, is consulted before every simulation
 	// attempt (including retries) and its non-nil error is treated exactly
 	// like a simulation failure: retried when sim.Retryable, ledgered
@@ -53,16 +46,10 @@ type Exec struct {
 	// cells stay cacheable and their eventual results identical to a
 	// fault-free run.
 	CellFault func(ctx context.Context, cellID string, attempt int) error
-	// Backend is where cell attempts execute (nil = Local(), in-process).
-	// The engine borrows the backend for the duration of the run and never
-	// closes it; its creator owns the lifetime, so one backend (and its
-	// worker fleet) can serve many campaigns.
-	Backend Backend
 	// OnEvent, when non-nil, receives the campaign's typed event stream:
-	// cell lifecycle events from the engine and worker lifecycle events
-	// from the backend, serialised into one totally ordered sequence.
-	// Like OnProgress it is called from worker goroutines — callbacks must
-	// be safe for concurrent use and return quickly.
+	// every cell's lifecycle, serialised into one totally ordered
+	// sequence. It is called from worker goroutines — callbacks must be
+	// safe for concurrent use and return quickly.
 	OnEvent func(Event)
 }
 
@@ -95,36 +82,68 @@ func WithRetries(n int, backoff time.Duration) Option {
 // WithRunTimeout bounds each cell's wall-clock time.
 func WithRunTimeout(d time.Duration) Option { return func(e *Exec) { e.RunTimeout = d } }
 
-// WithProgress installs a per-cell progress callback (see Exec.OnProgress).
-func WithProgress(fn func(Progress)) Option { return func(e *Exec) { e.OnProgress = fn } }
-
 // WithCellFault installs an execution-layer fault hook consulted before
 // every simulation attempt (see Exec.CellFault).
 func WithCellFault(fn func(ctx context.Context, cellID string, attempt int) error) Option {
 	return func(e *Exec) { e.CellFault = fn }
 }
 
-// WithBackend selects where cell attempts execute (see Exec.Backend). The
-// engine does not close the backend; the caller owns its lifetime.
-func WithBackend(b Backend) Option { return func(e *Exec) { e.Backend = b } }
-
 // WithEvents installs a callback for the campaign's typed event stream
 // (see Exec.OnEvent).
 func WithEvents(fn func(Event)) Option { return func(e *Exec) { e.OnEvent = fn } }
 
-// Progress is one OnProgress snapshot: how much of the campaign has
-// retired, partitioned by where each cell's result came from. Done counts
-// both completions and ledgered failures, so Done == Total exactly when the
-// campaign has drained.
-type Progress struct {
-	Done      int `json:"done"`
-	Total     int `json:"total"`
-	Simulated int `json:"simulated"`
-	CacheHits int `json:"cache_hits"`
-	Resumed   int `json:"resumed"`
-	Failed    int `json:"failed"`
-	// LastCell is the cell whose retirement triggered this snapshot.
-	LastCell string `json:"last_cell,omitempty"`
+// EventKind names one campaign event type.
+type EventKind string
+
+// The cell lifecycle event kinds.
+const (
+	// EventCellStarted: a cell's first simulation attempt is beginning
+	// (cache and manifest both missed).
+	EventCellStarted EventKind = "cell-started"
+	// EventCellCached / EventCellResumed: the cell was served without
+	// simulation, from the result cache / the resume manifest.
+	EventCellCached  EventKind = "cell-cached"
+	EventCellResumed EventKind = "cell-resumed"
+	// EventCellRetried: an attempt failed retryably; Attempt is the
+	// number of the attempt about to start.
+	EventCellRetried EventKind = "cell-retried"
+	// EventCellCompleted / EventCellFailed: the cell retired, with a
+	// result / into the failure ledger (Err carries the final error).
+	EventCellCompleted EventKind = "cell-completed"
+	EventCellFailed    EventKind = "cell-failed"
+)
+
+// Event is one entry of a campaign's typed event stream. Seq is a strictly
+// increasing, gapless sequence over the whole campaign, so consumers see
+// one total order regardless of which worker produced the event.
+type Event struct {
+	Seq     uint64    `json:"seq"`
+	Kind    EventKind `json:"kind"`
+	Cell    string    `json:"cell,omitempty"`
+	Attempt int       `json:"attempt,omitempty"`
+	Err     string    `json:"error,omitempty"`
+}
+
+// eventSink serialises the event stream: one mutex orders delivery
+// (events are rare next to simulation work) and numbers the stream.
+type eventSink struct {
+	mu  sync.Mutex
+	seq uint64
+	fn  func(Event)
+}
+
+// emit numbers and delivers one event; a nil callback drops it. Delivery
+// happens under the sink mutex so the callback observes events in exactly
+// Seq order — the callback must not block on campaign progress.
+func (s *eventSink) emit(ev Event) {
+	if s.fn == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	ev.Seq = s.seq
+	s.fn(ev)
 }
 
 // Failure is one failure-ledger entry: which cell failed, with what error,
@@ -235,14 +254,9 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 		defer man.Close()
 	}
 
-	backend := ex.Backend
-	if backend == nil {
-		backend = Local()
-	}
 	e := &engine{
 		ctx:     ctx,
 		ex:      ex,
-		backend: backend,
 		events:  &eventSink{fn: ex.OnEvent},
 		cells:   spec.Cells,
 		store:   store,
@@ -303,7 +317,6 @@ func (s *shard) stealHalf() []int {
 type engine struct {
 	ctx     context.Context
 	ex      Exec
-	backend Backend
 	events  *eventSink
 	cells   []Cell
 	store   *Store
@@ -479,7 +492,6 @@ func (e *engine) exec(ci int) {
 		if ent, ok := e.resumed[string(key)]; ok {
 			e.record(c, ent.Runs, &e.rep.Resumed)
 			e.events.emit(Event{Kind: EventCellResumed, Cell: c.ID})
-			e.notify(c.ID)
 			return
 		}
 		if e.store != nil {
@@ -487,7 +499,6 @@ func (e *engine) exec(ci int) {
 				e.record(c, runs, &e.rep.CacheHits)
 				e.checkpoint(c.ID, key, runs)
 				e.events.emit(Event{Kind: EventCellCached, Cell: c.ID})
-				e.notify(c.ID)
 				return
 			}
 		}
@@ -502,11 +513,9 @@ func (e *engine) exec(ci int) {
 		e.rep.Failures = append(e.rep.Failures, Failure{ID: c.ID, Attempts: attempts, Err: err})
 		e.mu.Unlock()
 		e.events.emit(Event{Kind: EventCellFailed, Cell: c.ID, Attempt: attempts, Err: err.Error()})
-		e.notify(c.ID)
 		return
 	}
 	e.record(c, runs, &e.rep.Simulated)
-	e.events.emit(Event{Kind: EventCellCompleted, Cell: c.ID, Attempt: attempts})
 	if kerr == nil {
 		if e.store != nil {
 			// Best-effort: a full disk costs future cache hits, not results.
@@ -514,27 +523,7 @@ func (e *engine) exec(ci int) {
 		}
 		e.checkpoint(c.ID, key, runs)
 	}
-	e.notify(c.ID)
-}
-
-// notify delivers one Progress snapshot for a just-retired cell. The
-// snapshot is assembled under the report lock, delivered outside it.
-func (e *engine) notify(cellID string) {
-	if e.ex.OnProgress == nil {
-		return
-	}
-	e.mu.Lock()
-	p := Progress{
-		Total:     e.rep.Total,
-		Simulated: e.rep.Simulated,
-		CacheHits: e.rep.CacheHits,
-		Resumed:   e.rep.Resumed,
-		Failed:    len(e.rep.Failures),
-		LastCell:  cellID,
-	}
-	e.mu.Unlock()
-	p.Done = p.Simulated + p.CacheHits + p.Resumed + p.Failed
-	e.ex.OnProgress(p)
+	e.events.emit(Event{Kind: EventCellCompleted, Cell: c.ID, Attempt: attempts})
 }
 
 func (e *engine) record(c *Cell, runs []*stats.Run, counter *int) {
@@ -561,8 +550,7 @@ func (e *engine) checkpoint(id string, key Key, runs []*stats.Run) {
 // same fault-isolation contract as the experiments matrix runner. The
 // Exec.CellFault hook runs before each attempt; its error counts as that
 // attempt's outcome without the simulation ever starting. Each attempt
-// goes to the execution backend under its own RunTimeout-bounded context,
-// so the timeout and retry policy are uniform across backends.
+// runs under its own RunTimeout-bounded context.
 func (e *engine) simulate(c *Cell) (runs []*stats.Run, attempts int, err error) {
 	for attempts = 1; ; attempts++ {
 		runs, err = nil, nil
@@ -588,14 +576,52 @@ func (e *engine) simulate(c *Cell) (runs []*stats.Run, attempts int, err error) 
 	}
 }
 
-// execOnce hands one attempt to the backend under a RunTimeout-bounded
-// context.
-func (e *engine) execOnce(c *Cell) ([]*stats.Run, error) {
+// execOnce runs one attempt of c in-process under a RunTimeout-bounded
+// context, converting panics into *sim.RunError so a poisoned cell cannot
+// take the campaign down. A FailFast checker's *sim.CheckError panic is a
+// first-class verdict about the simulator, not a crash: it lands under the
+// "check" stage so CheckFailure can tell correctness violations from
+// environmental failures.
+func (e *engine) execOnce(c *Cell) (runs []*stats.Run, err error) {
 	ctx := e.ctx
 	if e.ex.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.ex.RunTimeout)
 		defer cancel()
 	}
-	return e.backend.ExecuteCell(ctx, c, e.events.emit)
+	// RunError labels carry the workload name for single-core cells (what
+	// the experiments ledger reports) and the cell ID for mixes.
+	label := c.ID
+	if !c.isMix() {
+		label = c.Workload.Name
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			runs = nil
+			if ce, ok := r.(*sim.CheckError); ok {
+				err = &sim.RunError{Workload: label, Stage: "check", Err: ce}
+				return
+			}
+			err = &sim.RunError{
+				Workload: label, Stage: "measure", Panicked: true,
+				Err: fmt.Errorf("recovered panic: %v", r),
+			}
+		}
+	}()
+	if c.isMix() {
+		ms, merr := sim.NewMulti(*c.Multi)
+		if merr != nil {
+			return nil, &sim.RunError{Workload: c.ID, Stage: "setup", Err: merr}
+		}
+		runs, err = ms.RunMix(ctx, c.Mix)
+		if err != nil {
+			return nil, err
+		}
+		return runs, nil
+	}
+	run, rerr := sim.RunWorkload(ctx, c.Config, c.Workload)
+	if rerr != nil {
+		return nil, rerr
+	}
+	return []*stats.Run{run}, nil
 }

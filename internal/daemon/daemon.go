@@ -107,13 +107,6 @@ type Config struct {
 	// before cancelling them.
 	DrainGrace time.Duration
 
-	// Backend, when non-nil, is where every job's cells execute — e.g. a
-	// campaign.ProcBackend so each shard is a worker subprocess sharing
-	// CacheDir. Nil means the in-process pool. The daemon never closes
-	// the backend; its owner (cmd/pgcd) closes it after the drain, once
-	// no job can still be using it.
-	Backend campaign.Backend
-
 	// Chaos, when non-nil, injects execution-layer faults (transient cell
 	// failures, stalls) into every campaign — the soak harness's hook.
 	// Exec faults never touch cell content keys, so results under chaos
@@ -449,16 +442,7 @@ func (s *Server) execOptions(j *job) []campaign.Option {
 		campaign.WithRetries(s.cfg.Retries, s.cfg.RetryBackoff),
 		campaign.WithRunTimeout(s.cfg.RunTimeout),
 		campaign.WithResume(s.manifestPath(j.rec.ID)),
-		campaign.WithProgress(func(p campaign.Progress) {
-			j.mu.Lock()
-			j.rec.Progress = p
-			j.lastBeat = time.Now()
-			j.mu.Unlock()
-		}),
-		campaign.WithEvents(s.met.onEvent),
-	}
-	if s.cfg.Backend != nil {
-		opts = append(opts, campaign.WithBackend(s.cfg.Backend))
+		campaign.WithEvents(s.jobEvents(j)),
 	}
 	if s.store != nil {
 		opts = append(opts, campaign.WithCache(s.store.Dir()))
@@ -467,6 +451,38 @@ func (s *Server) execOptions(j *job) []campaign.Option {
 		opts = append(opts, campaign.WithCellFault(s.cfg.Chaos.CellFault))
 	}
 	return opts
+}
+
+// jobEvents returns the event callback for one campaign run of j: it
+// counts retries and rebuilds j's progress from the cell retirements.
+// Each run counts from zero, so a resumed run replaces the previous run's
+// progress (its resumed cells count again, as Resumed) instead of adding
+// to it. The campaign delivers events one at a time, so p needs no lock.
+func (s *Server) jobEvents(j *job) func(campaign.Event) {
+	p := Progress{Total: len(j.comp.spec.Cells)}
+	return func(ev campaign.Event) {
+		switch ev.Kind {
+		case campaign.EventCellRetried:
+			s.met.cellsRetried.Inc()
+			return
+		case campaign.EventCellCompleted:
+			p.Simulated++
+		case campaign.EventCellCached:
+			p.CacheHits++
+		case campaign.EventCellResumed:
+			p.Resumed++
+		case campaign.EventCellFailed:
+			p.Failed++
+		default:
+			return
+		}
+		p.Done = p.Simulated + p.CacheHits + p.Resumed + p.Failed
+		p.LastCell = ev.Cell
+		j.mu.Lock()
+		j.rec.Progress = p
+		j.lastBeat = time.Now()
+		j.mu.Unlock()
+	}
 }
 
 // finish classifies a finished campaign run and retires the job.
@@ -500,7 +516,7 @@ func (s *Server) finish(j *job, rep *campaign.Report, err error) {
 		// Partial results are still results: an interrupted or failed job
 		// serves what it completed, and the manifest covers the rest.
 		j.rec.Result = resultOf(rep)
-		j.rec.Progress = campaign.Progress{
+		j.rec.Progress = Progress{
 			Total: rep.Total, Simulated: rep.Simulated, CacheHits: rep.CacheHits,
 			Resumed: rep.Resumed, Failed: len(rep.Failures),
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/faultinject"
 )
 
@@ -560,5 +561,51 @@ func TestCompileRecoveryFailure(t *testing.T) {
 	sr := waitTerminal(t, ts2, "doomed", 5*time.Second)
 	if sr.State != JobFailed || !strings.Contains(sr.JobStatus.Error, "not re-admissible") {
 		t.Fatalf("state = %s error %q, want failed/not re-admissible", sr.State, sr.JobStatus.Error)
+	}
+}
+
+// TestJobProgressFromEvents pins how a job's progress is rebuilt from its
+// campaign's event stream: one retirement per completed, cached, resumed
+// or failed cell, Done their sum and Total the job's cell count; started
+// and retried events only count retries; and every run counts from zero,
+// so a resumed run replaces the interrupted run's progress.
+func TestJobProgressFromEvents(t *testing.T) {
+	s, _ := openTest(t, testConfig(t))
+	j := newJob(jobRecord{ID: "p", State: JobRunning},
+		&compiled{spec: campaign.Spec{Cells: make([]campaign.Cell, 5)}})
+
+	first := s.jobEvents(j)
+	for _, ev := range []campaign.Event{
+		{Kind: campaign.EventCellStarted, Cell: "a"},
+		{Kind: campaign.EventCellCompleted, Cell: "a"},
+		{Kind: campaign.EventCellCached, Cell: "b"},
+		{Kind: campaign.EventCellStarted, Cell: "c"},
+		{Kind: campaign.EventCellRetried, Cell: "c", Attempt: 2},
+		{Kind: campaign.EventCellFailed, Cell: "c", Attempt: 2},
+	} {
+		first(ev)
+	}
+	want := Progress{Done: 3, Total: 5, Simulated: 1, CacheHits: 1, Failed: 1, LastCell: "c"}
+	if j.rec.Progress != want {
+		t.Fatalf("progress = %+v, want %+v", j.rec.Progress, want)
+	}
+	if got := s.met.cellsRetried.Value(); got != 1 {
+		t.Fatalf("daemon.cells.retried = %d, want 1", got)
+	}
+	if j.lastBeat.IsZero() {
+		t.Fatal("a retired cell did not refresh the watchdog heartbeat")
+	}
+
+	// The resumed run keeps the old progress until its first retirement,
+	// then counts from zero.
+	second := s.jobEvents(j)
+	second(campaign.Event{Kind: campaign.EventCellStarted, Cell: "d"})
+	if j.rec.Progress != want {
+		t.Fatalf("progress before the resumed run retired a cell = %+v, want %+v", j.rec.Progress, want)
+	}
+	second(campaign.Event{Kind: campaign.EventCellResumed, Cell: "a"})
+	want = Progress{Done: 1, Total: 5, Resumed: 1, LastCell: "a"}
+	if j.rec.Progress != want {
+		t.Fatalf("resumed-run progress = %+v, want %+v", j.rec.Progress, want)
 	}
 }

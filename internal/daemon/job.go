@@ -69,27 +69,42 @@ type JobResult struct {
 // file per job under stateDir/jobs, rewritten atomically on every state
 // transition.
 type jobRecord struct {
-	ID          string            `json:"id"`
-	Client      string            `json:"client"`
-	Name        string            `json:"name,omitempty"`
-	State       JobState          `json:"state"`
-	SubmittedAt time.Time         `json:"submitted_at"`
-	Request     CampaignRequest   `json:"request"`
-	Progress    campaign.Progress `json:"progress"`
-	Error       string            `json:"error,omitempty"`
-	Result      *JobResult        `json:"result,omitempty"`
+	ID          string          `json:"id"`
+	Client      string          `json:"client"`
+	Name        string          `json:"name,omitempty"`
+	State       JobState        `json:"state"`
+	SubmittedAt time.Time       `json:"submitted_at"`
+	Request     CampaignRequest `json:"request"`
+	Progress    Progress        `json:"progress"`
+	Error       string          `json:"error,omitempty"`
+	Result      *JobResult      `json:"result,omitempty"`
+}
+
+// Progress is how much of a job's campaign has retired, partitioned by
+// where each cell's result came from. Done counts both completions and
+// ledgered failures, so Done == Total exactly when the campaign has
+// drained.
+type Progress struct {
+	Done      int `json:"done"`
+	Total     int `json:"total"`
+	Simulated int `json:"simulated"`
+	CacheHits int `json:"cache_hits"`
+	Resumed   int `json:"resumed"`
+	Failed    int `json:"failed"`
+	// LastCell is the cell whose retirement last advanced the counters.
+	LastCell string `json:"last_cell,omitempty"`
 }
 
 // JobStatus is the wire form of a job's current state (no runs — those are
 // served by the result endpoint).
 type JobStatus struct {
-	ID          string            `json:"id"`
-	Client      string            `json:"client"`
-	Name        string            `json:"name,omitempty"`
-	State       JobState          `json:"state"`
-	SubmittedAt time.Time         `json:"submitted_at"`
-	Progress    campaign.Progress `json:"progress"`
-	Error       string            `json:"error,omitempty"`
+	ID          string    `json:"id"`
+	Client      string    `json:"client"`
+	Name        string    `json:"name,omitempty"`
+	State       JobState  `json:"state"`
+	SubmittedAt time.Time `json:"submitted_at"`
+	Progress    Progress  `json:"progress"`
+	Error       string    `json:"error,omitempty"`
 }
 
 // job is the in-memory job: the persisted record plus the compiled spec and

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"repro/internal/campaign"
 	"repro/internal/metrics"
 )
 
@@ -33,13 +32,7 @@ type daemonMetrics struct {
 	cellsCached    *metrics.SyncCounter
 	cellsResumed   *metrics.SyncCounter
 	cellsFailed    *metrics.SyncCounter
-
-	// Backend-stream counters, fed by the campaign event stream: cell
-	// retry attempts and backend worker churn (subprocess spawns/deaths
-	// under a proc backend; always zero under the in-process pool).
-	cellsRetried  *metrics.SyncCounter
-	workersJoined *metrics.SyncCounter
-	workersDied   *metrics.SyncCounter
+	cellsRetried   *metrics.SyncCounter
 }
 
 // newDaemonMetrics registers every daemon metric. Registration happens once
@@ -69,10 +62,7 @@ func newDaemonMetrics(s *Server) *daemonMetrics {
 		cellsCached:    reg.SyncCounter("daemon.cells.cache_hits"),
 		cellsResumed:   reg.SyncCounter("daemon.cells.resumed"),
 		cellsFailed:    reg.SyncCounter("daemon.cells.failed"),
-
-		cellsRetried:  reg.SyncCounter("daemon.cells.retried"),
-		workersJoined: reg.SyncCounter("daemon.backend.workers_joined"),
-		workersDied:   reg.SyncCounter("daemon.backend.workers_died"),
+		cellsRetried:   reg.SyncCounter("daemon.cells.retried"),
 	}
 	reg.GaugeFunc("daemon.queue.depth", func() uint64 { return uint64(s.queueDepth()) })
 	reg.GaugeFunc("daemon.jobs.running", func() uint64 { return uint64(s.runningCount()) })
@@ -92,18 +82,4 @@ func (m *daemonMetrics) addReport(simulated, cached, resumed, failed int) {
 	m.cellsCached.Add(uint64(cached))
 	m.cellsResumed.Add(uint64(resumed))
 	m.cellsFailed.Add(uint64(failed))
-}
-
-// onEvent folds one campaign event into the counters. Installed on every
-// job's engine via WithEvents; the stream is already serialised per
-// campaign and the counters are sync, so concurrent jobs compose.
-func (m *daemonMetrics) onEvent(ev campaign.Event) {
-	switch ev.Kind {
-	case campaign.EventCellRetried:
-		m.cellsRetried.Inc()
-	case campaign.EventWorkerJoined:
-		m.workersJoined.Inc()
-	case campaign.EventWorkerDied:
-		m.workersDied.Inc()
-	}
 }

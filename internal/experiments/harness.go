@@ -22,8 +22,7 @@ import (
 )
 
 // Options scales an experiment. Execution policy — worker-pool width,
-// retry/timeout fault isolation, cache, resume manifest, execution
-// backend — is expressed as campaign options in Campaign: the same
+// retry/timeout fault isolation, cache, resume manifest — is expressed as campaign options in Campaign: the same
 // option set pagecross.RunCampaign, the daemon's spec compiler and
 // direct campaign callers use, so there is exactly one way to configure
 // execution everywhere.
@@ -43,8 +42,7 @@ type Options struct {
 	// Campaign is the execution policy, as campaign options:
 	// campaign.WithWorkers (concurrent simulations, default NumCPU),
 	// WithRetries/WithRunTimeout (per-run fault isolation), WithCache
-	// (content-addressed result cache), WithResume (checkpoint/resume),
-	// WithBackend (local pool / worker subprocesses / remote daemon) and
+	// (content-addressed result cache), WithResume (checkpoint/resume) and
 	// WithEvents (typed execution event stream). Applied verbatim to every
 	// matrix the experiment runs.
 	Campaign []campaign.Option
@@ -233,8 +231,7 @@ func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error
 // with the engine's fault isolation (a panicking or erroring run becomes a
 // typed failure-ledger entry; retryable failures retry with backoff per
 // campaign.WithRetries) and, per the other Options.Campaign options, its
-// content-addressed result cache, checkpoint manifest and execution
-// backend. The returned
+// content-addressed result cache and checkpoint manifest. The returned
 // error is non-nil only when ctx itself is cancelled or expires (or the
 // cache/manifest is unusable); the report then holds whatever completed
 // before teardown.

@@ -30,14 +30,14 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "fig9", "experiment: fig2..fig19, table2|table3|table5, sweep-epoch|sweep-stlb|sweep-degree|sweep-vub, shapes, or all")
+		exp       = flag.String("exp", "fig9", "experiment: "+strings.Join(experimentNames(experimentTable(0, 0, false)), "|")+", or all")
 		warmup    = flag.Uint64("warmup", 100_000, "warmup instructions per workload")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per workload")
 		maxWl     = flag.Int("max-workloads", 40, "cap on workloads per set (0 = full set)")
 		par       = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU)")
 		cores     = flag.Int("cores", 8, "cores for fig19")
 		mixes     = flag.Int("mixes", 20, "mixes for fig19")
-		pf        = flag.String("prefetcher", "berti", "prefetcher for single-prefetcher experiments")
+		pf        = flag.String("prefetcher", "berti", "L1D prefetcher for single-prefetcher experiments: "+strings.Join(sim.L1DPrefetcherNames(), "|"))
 		asJSON    = flag.Bool("json", false, "emit results as JSON instead of text")
 		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget, e.g. 30m (0 = none); completed experiments are kept on expiry")
 		outDir    = flag.String("out-dir", "", "write each experiment's report to <out-dir>/<name>.{txt,json} instead of stdout")
@@ -52,6 +52,11 @@ func main() {
 	)
 	flag.Parse()
 
+	selected, err := selectExperiments(experimentTable(*cores, *mixes, *asJSON), *exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 	custom, err := customWorkloads(*wdlFiles, *chpsTrcs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -104,212 +109,13 @@ func main() {
 		Sample:   sim.SampleConfig{Enabled: *sampled, PeriodInstrs: *samplePer},
 		Totals:   totals,
 	}
-	if err := o.Sample.Validate(); err != nil {
+	cfg := sim.DefaultConfig()
+	cfg.L1DPrefetcher, cfg.Sample = o.Prefetcher, o.Sample
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 
-	run := func(name string) error {
-		var out io.Writer = os.Stdout
-		if *outDir != "" {
-			ext := ".txt"
-			if *asJSON {
-				ext = ".json"
-			}
-			f, err := os.Create(filepath.Join(*outDir, name+ext))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		switch name {
-		case "fig2":
-			r, err := experiments.Fig2(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig3":
-			r, err := experiments.Fig3(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig4":
-			r, err := experiments.Fig4(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig9":
-			r, err := experiments.Fig9(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig10":
-			r, err := experiments.Fig10(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig11":
-			r, err := experiments.Fig11(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig12":
-			r, err := experiments.Fig12(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig13":
-			r, err := experiments.Fig13(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig14":
-			r, err := experiments.Fig14(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig15":
-			r, err := experiments.Fig15(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig16":
-			r, err := experiments.Fig16(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig17":
-			r, err := experiments.Fig17(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig18":
-			r, err := experiments.Fig18(o, custom)
-			if err != nil {
-				return err
-			}
-			if !*asJSON {
-				fmt.Println("Fig. 18 (unseen workloads):")
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "table2":
-			// The full selection sweep is expensive; restrict the pool to
-			// a representative subset unless the user raised the budgets.
-			candidates := []string{"Delta", "PC^Delta", "PC", "VA", "VA>>12",
-				"CacheLineOffset", "sTLB MPKI", "sTLB MissRate", "LLC MPKI"}
-			r, err := experiments.Table2(o, custom, candidates, nil)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "table3":
-			if len(custom) > 0 {
-				return fmt.Errorf("%s does not take custom workloads", name)
-			}
-			r, err := experiments.Table3()
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "table5":
-			if len(custom) > 0 {
-				return fmt.Errorf("%s does not take custom workloads", name)
-			}
-			r, err := experiments.Table5(o)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "sweep-epoch", "sweep-stlb", "sweep-degree", "sweep-vub":
-			fns := map[string]func(experiments.Options, []trace.Workload) (*experiments.SweepResult, error){
-				"sweep-epoch":  experiments.EpochSweep,
-				"sweep-stlb":   experiments.STLBSweep,
-				"sweep-degree": experiments.DegreeSweep,
-				"sweep-vub":    experiments.VUBSweep,
-			}
-			r, err := fns[name](o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "shapes":
-			r, err := experiments.VerifyShapes(o, custom)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		case "fig19":
-			if len(custom) > 0 {
-				return fmt.Errorf("%s draws its mixes from the registry and does not take custom workloads", name)
-			}
-			r, err := experiments.Fig19(o, *cores, *mixes)
-			if err != nil {
-				return err
-			}
-			if err := experiments.Report(out, name, r, *asJSON); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"fig2", "fig3", "fig4", "fig9", "fig10", "fig11",
-			"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-			"table3", "table5", "fig19"}
-	}
 	// os.Exit skips defers, so flush the CPU profile explicitly on the
 	// error paths; completed profiles from a partial campaign are still
 	// useful.
@@ -319,20 +125,20 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	for i, n := range names {
+	for i, e := range selected {
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "experiments: interrupted (%v); %d/%d experiments completed above\n",
-				ctx.Err(), i, len(names))
+				ctx.Err(), i, len(selected))
 			exit(130)
 		}
-		fmt.Printf("==> %s (workloads<=%d, %d+%d instrs)\n", n, o.MaxWorkloads, o.Warmup, o.Instrs)
-		if err := run(n); err != nil {
+		fmt.Printf("==> %s (workloads<=%d, %d+%d instrs)\n", e.name, o.MaxWorkloads, o.Warmup, o.Instrs)
+		if err := runExperiment(e, o, custom, *outDir, *asJSON); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "experiments: %s interrupted (%v); %d/%d experiments completed above\n",
-					n, err, i, len(names))
+					e.name, err, i, len(selected))
 				exit(130)
 			}
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", n, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
 			exit(1)
 		}
 		fmt.Println()
@@ -340,6 +146,117 @@ func main() {
 	// Campaign accounting: `make campaign` asserts a warm-cache re-run
 	// prints simulated=0 here.
 	fmt.Printf("campaign: %s\n", totals)
+}
+
+// experiment is one row of the experiment table: run regenerates a table or
+// figure over the custom workload set (nil selects the experiment's own
+// registry set) and returns its printable result.
+type experiment struct {
+	name string
+	run  func(experiments.Options, []trace.Workload) (experiments.Printer, error)
+	// inAll puts the experiment in "-exp all"; takesCustom admits
+	// -workload-file and -champsim-trace workloads.
+	inAll, takesCustom bool
+}
+
+// experimentTable lists every experiment; the inAll rows appear in "-exp
+// all" order. Rows that need a flag beyond Options close over it.
+func experimentTable(cores, mixes int, asJSON bool) []experiment {
+	return []experiment{
+		{"fig2", overWorkloads(experiments.Fig2), true, true},
+		{"fig3", overWorkloads(experiments.Fig3), true, true},
+		{"fig4", overWorkloads(experiments.Fig4), true, true},
+		{"fig9", overWorkloads(experiments.Fig9), true, true},
+		{"fig10", overWorkloads(experiments.Fig10), true, true},
+		{"fig11", overWorkloads(experiments.Fig11), true, true},
+		{"fig12", overWorkloads(experiments.Fig12), true, true},
+		{"fig13", overWorkloads(experiments.Fig13), true, true},
+		{"fig14", overWorkloads(experiments.Fig14), true, true},
+		{"fig15", overWorkloads(experiments.Fig15), true, true},
+		{"fig16", overWorkloads(experiments.Fig16), true, true},
+		{"fig17", overWorkloads(experiments.Fig17), true, true},
+		{"fig18", func(o experiments.Options, ws []trace.Workload) (experiments.Printer, error) {
+			if !asJSON {
+				fmt.Println("Fig. 18 (unseen workloads):")
+			}
+			return experiments.Fig18(o, ws)
+		}, true, true},
+		{"table2", func(o experiments.Options, ws []trace.Workload) (experiments.Printer, error) {
+			// The full selection sweep is expensive; restrict the pool to
+			// a representative subset.
+			return experiments.Table2(o, ws, []string{"Delta", "PC^Delta", "PC", "VA", "VA>>12",
+				"CacheLineOffset", "sTLB MPKI", "sTLB MissRate", "LLC MPKI"}, nil)
+		}, false, true},
+		{"table3", func(experiments.Options, []trace.Workload) (experiments.Printer, error) {
+			return experiments.Table3()
+		}, true, false},
+		{"table5", func(o experiments.Options, _ []trace.Workload) (experiments.Printer, error) {
+			return experiments.Table5(o)
+		}, true, false},
+		{"fig19", func(o experiments.Options, _ []trace.Workload) (experiments.Printer, error) {
+			return experiments.Fig19(o, cores, mixes)
+		}, true, false},
+		{"sweep-epoch", overWorkloads(experiments.EpochSweep), false, true},
+		{"sweep-stlb", overWorkloads(experiments.STLBSweep), false, true},
+		{"sweep-degree", overWorkloads(experiments.DegreeSweep), false, true},
+		{"sweep-vub", overWorkloads(experiments.VUBSweep), false, true},
+		{"shapes", overWorkloads(experiments.VerifyShapes), false, true},
+	}
+}
+
+// overWorkloads adapts an experiment function to the table's run signature.
+func overWorkloads[R experiments.Printer](f func(experiments.Options, []trace.Workload) (R, error)) func(experiments.Options, []trace.Workload) (experiments.Printer, error) {
+	return func(o experiments.Options, ws []trace.Workload) (experiments.Printer, error) { return f(o, ws) }
+}
+
+// experimentNames lists a table's names in order, for -exp help and errors.
+func experimentNames(table []experiment) []string {
+	var names []string
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+// selectExperiments resolves -exp: the table row of that name, or every
+// inAll row for "all".
+func selectExperiments(table []experiment, name string) ([]experiment, error) {
+	var out []experiment
+	for _, e := range table {
+		if e.name == name || (name == "all" && e.inAll) {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (want all or one of %s)", name, strings.Join(experimentNames(table), "|"))
+	}
+	return out, nil
+}
+
+// runExperiment runs one experiment and reports its result to stdout, or to
+// <outDir>/<name>.{txt,json} when outDir is set.
+func runExperiment(e experiment, o experiments.Options, custom []trace.Workload, outDir string, asJSON bool) error {
+	if len(custom) > 0 && !e.takesCustom {
+		return fmt.Errorf("%s does not take custom workloads", e.name)
+	}
+	var out io.Writer = os.Stdout
+	if outDir != "" {
+		ext := ".txt"
+		if asJSON {
+			ext = ".json"
+		}
+		f, err := os.Create(filepath.Join(outDir, e.name+ext))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		out = f
+	}
+	r, err := e.run(o, custom)
+	if err != nil {
+		return err
+	}
+	return experiments.Report(out, e.name, r, asJSON)
 }
 
 // customWorkloads assembles the user-supplied workload set: every workload

@@ -33,9 +33,9 @@ import (
 func main() {
 	var (
 		workload   = flag.String("workload", "spec.stream_s00", "workload name (see -list)")
-		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: berti|ipcp|bop|stride|sms|none")
-		l2pf       = flag.String("l2-prefetcher", "none", "L2C prefetcher: none|spp|ipcp|bop")
-		policy     = flag.String("policy", "dripper", "page-cross policy: permit|discard|discard-ptw|dripper|ppf|ppf+dthr|dripper-sf")
+		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: "+strings.Join(sim.L1DPrefetcherNames(), "|"))
+		l2pf       = flag.String("l2-prefetcher", "none", "L2C prefetcher: "+strings.Join(sim.L2CPrefetcherNames(), "|"))
+		policy     = flag.String("policy", "dripper", "page-cross policy: "+strings.Join(sim.PolicyNames(), "|"))
 		warmup     = flag.Uint64("warmup", 250_000, "warmup instructions")
 		instrs     = flag.Uint64("instrs", 250_000, "measured instructions")
 		largePages = flag.Bool("large-pages", false, "back half the address space with 2MB pages")
@@ -103,7 +103,7 @@ func main() {
 		RampInstrs:     *sampleRamp,
 		Seed:           *sampleSeed,
 	}
-	if err := cfg.Sample.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "pgcsim: %v\n", err)
 		os.Exit(1)
 	}

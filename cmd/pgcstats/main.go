@@ -9,25 +9,25 @@
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
-	"sync"
+	"strings"
 
+	"repro/internal/campaign"
+	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
 		set        = flag.String("set", "seen", "workload set: seen|unseen|nonintensive|all")
-		policy     = flag.String("policy", "dripper", "page-cross policy")
-		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher")
+		policy     = flag.String("policy", "dripper", "page-cross policy: "+strings.Join(sim.PolicyNames(), "|"))
+		prefetcher = flag.String("prefetcher", "berti", "L1D prefetcher: "+strings.Join(sim.L1DPrefetcherNames(), "|"))
 		warmup     = flag.Uint64("warmup", 100_000, "warmup instructions")
 		instrs     = flag.Uint64("instrs", 100_000, "measured instructions")
 		maxN       = flag.Int("max", 0, "cap on workloads (0 = all)")
@@ -53,59 +53,44 @@ func main() {
 		wls = wls[:*maxN]
 	}
 
-	par := *parallel
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-
-	results := make([]*stats.Run, len(wls))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	var firstErr error
-	var mu sync.Mutex
-	for i, w := range wls {
-		wg.Add(1)
-		go func(i int, w trace.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cfg := sim.DefaultConfig()
-			cfg.Policy = sim.PolicyKind(*policy)
-			cfg.L1DPrefetcher = *prefetcher
-			cfg.WarmupInstrs = *warmup
-			cfg.SimInstrs = *instrs
-			run, err := sim.RunWorkload(context.Background(), cfg, w)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", w.Name, err)
-				}
-				mu.Unlock()
-				return
-			}
-			results[i] = run
-		}(i, w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", firstErr)
+	cfg := sim.DefaultConfig()
+	cfg.Policy = sim.PolicyKind(*policy)
+	cfg.L1DPrefetcher = *prefetcher
+	cfg.WarmupInstrs = *warmup
+	cfg.SimInstrs = *instrs
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
 		os.Exit(1)
 	}
+	if err := writeStats(os.Stdout, cfg, wls, *parallel); err != nil {
+		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	cw := csv.NewWriter(os.Stdout)
-	defer cw.Flush()
+// writeStats simulates every workload under cfg as a one-scenario matrix on
+// the campaign engine (workers wide; 0 = NumCPU) and writes one CSV row of
+// statistics per workload, in wls order.
+func writeStats(out io.Writer, cfg sim.Config, wls []trace.Workload, workers int) error {
+	scen := experiments.Scenario{Name: "pgcstats", Configure: func(c *sim.Config) { *c = cfg }}
+	o := experiments.Options{Campaign: []campaign.Option{campaign.WithWorkers(workers)}}
+	m, err := experiments.RunMatrix(o, wls, []experiments.Scenario{scen})
+	if err != nil {
+		return err
+	}
+
+	cw := csv.NewWriter(out)
 	header := []string{"workload", "suite", "weight", "ipc",
 		"l1d_mpki", "l2c_mpki", "llc_mpki", "dtlb_mpki", "stlb_mpki", "l1i_mpki",
 		"pf_fills", "pf_accuracy", "pgc_issued", "pgc_dropped", "pgc_useful",
 		"pgc_useless", "walks", "spec_walks", "branch_mpki"}
 	if err := cw.Write(header); err != nil {
-		fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	f := func(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
 	u := func(x uint64) string { return strconv.FormatUint(x, 10) }
-	for i, w := range wls {
-		r := results[i]
+	for _, w := range wls {
+		r := m[scen.Name][w.Name]
 		row := []string{
 			w.Name, w.Suite, f(w.Weight), f(r.IPC()),
 			f(r.MPKI("l1d")), f(r.MPKI("l2c")), f(r.MPKI("llc")),
@@ -117,8 +102,9 @@ func main() {
 			f(float64(r.Core.Mispredicts) * 1000 / float64(r.Core.Instructions+1)),
 		}
 		if err := cw.Write(row); err != nil {
-			fmt.Fprintf(os.Stderr, "pgcstats: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
+	cw.Flush()
+	return cw.Error()
 }

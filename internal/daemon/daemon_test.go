@@ -174,14 +174,18 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		"zero instrs":     `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"SimInstrs":0}}]}`,
 		"over budget":     `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"SimInstrs":999999999999}}]}`,
 		"cycle":           `{"cells":[{"id":"a","workload":"spec.stream_s00","after":["a"]}]}`,
+		"unknown L1D pf":  `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"L1DPrefetcher":"bogus"}}]}`,
+		"unknown L2C pf":  `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"L2CPrefetcher":"bogus"}}]}`,
+		"unknown L1I pf":  `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"L1IPrefetcher":"bogus"}}]}`,
+		"unknown policy":  `{"cells":[{"id":"a","workload":"spec.stream_s00","config":{"Policy":"nope"}}]}`,
 	} {
 		resp, _ := submit(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if got := s.met.rejInvalid.Value(); got < 9 {
-		t.Fatalf("rejected.invalid = %d, want >= 9", got)
+	if got := s.met.rejInvalid.Value(); got < 13 {
+		t.Fatalf("rejected.invalid = %d, want >= 13", got)
 	}
 }
 

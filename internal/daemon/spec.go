@@ -174,11 +174,11 @@ func (s *Server) cellConfig(raw json.RawMessage) (sim.Config, error) {
 	if cfg.TraceCapacity > maxTraceCapacity {
 		return cfg, fmt.Errorf("config: TraceCapacity %d exceeds cap %d", cfg.TraceCapacity, maxTraceCapacity)
 	}
-	// Sampling is accepted over the wire (it is part of the content key, so
-	// sampled cells never alias full ones), but only structurally valid
-	// schedules: a period shorter than its ramp+interval would fail deep in
-	// the engine instead of at admission.
-	if err := cfg.Sample.Validate(); err != nil {
+	// Unknown prefetcher or policy names and impossible sampling schedules
+	// (a period shorter than its ramp+interval) would fail deep in the
+	// engine instead of at admission. Valid sampling is accepted: it is part
+	// of the content key, so sampled cells never alias full ones.
+	if err := cfg.Validate(); err != nil {
 		return cfg, fmt.Errorf("config: %w", err)
 	}
 	if cfg.SimInstrs == 0 {

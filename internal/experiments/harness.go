@@ -51,8 +51,8 @@ type Options struct {
 	Watchdog sim.WatchdogConfig
 	// Check enables the differential oracle and runtime invariant checker
 	// for every run of the experiment (zero value = checks off). Violations
-	// land in the failure ledger under the "check" stage; see
-	// MatrixReport.CheckFailures.
+	// land in RunMatrix's *MatrixError ledger as RunErrors of stage
+	// "check".
 	Check sim.CheckConfig
 	// Sample enables interval-sampled simulation for every run of the
 	// experiment (zero value = full detail). The sampling parameters are
@@ -157,89 +157,36 @@ type RunFailure struct {
 	Err                error
 }
 
-// MatrixReport is the outcome of a resilient matrix campaign: every run
-// that completed, plus an explicit per-(scenario, workload) failure ledger.
-// One poisoned workload degrades coverage instead of destroying it.
-type MatrixReport struct {
-	Matrix   Matrix
+// MatrixError is RunMatrix's error for a degraded matrix: the explicit
+// per-(scenario, workload) failure ledger, sorted by scenario then workload.
+// One poisoned workload degrades coverage instead of destroying it. It
+// unwraps to the first failure, so errors.As still finds the typed cause.
+type MatrixError struct {
 	Failures []RunFailure
 	Total    int // runs attempted = len(scenarios) × len(workloads)
-	// CacheHits, Resumed and Simulated partition the completed runs by
-	// provenance: served from the content-addressed result cache, replayed
-	// from a resume manifest, or actually simulated. Without
-	// campaign.WithCache or campaign.WithResume every completed run is
-	// Simulated.
-	CacheHits, Resumed, Simulated int
 }
 
-// Complete reports whether every run succeeded.
-func (r *MatrixReport) Complete() bool { return len(r.Failures) == 0 }
-
-// Err aggregates the failure ledger into one error (nil when complete).
-func (r *MatrixReport) Err() error {
-	if len(r.Failures) == 0 {
-		return nil
-	}
-	f := r.Failures[0]
-	return fmt.Errorf("experiments: %d/%d runs failed (first: %s/%s after %d attempt(s): %w)",
-		len(r.Failures), r.Total, f.Scenario, f.Workload, f.Attempts, f.Err)
+func (e *MatrixError) Error() string {
+	f := e.Failures[0]
+	return fmt.Sprintf("experiments: %d/%d runs failed (first: %s/%s after %d attempt(s): %v)",
+		len(e.Failures), e.Total, f.Scenario, f.Workload, f.Attempts, f.Err)
 }
 
-// CheckFailures returns the ledger entries caused by oracle/invariant
-// violations (RunError stage "check"), distinguishing simulator-correctness
-// failures from environmental ones (stalls, panics, timeouts). A checked
-// campaign is trustworthy only when this slice is empty.
-func (r *MatrixReport) CheckFailures() []RunFailure {
-	var out []RunFailure
-	for _, f := range r.Failures {
-		if sim.CheckFailure(f.Err) != nil {
-			out = append(out, f)
-		}
-	}
-	return out
-}
+func (e *MatrixError) Unwrap() error { return e.Failures[0].Err }
 
-// FailedWorkloads returns the distinct workload names in the ledger, sorted.
-func (r *MatrixReport) FailedWorkloads() []string {
-	set := map[string]bool{}
-	for _, f := range r.Failures {
-		set[f.Workload] = true
-	}
-	out := make([]string, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RunMatrix simulates every workload under every scenario, in parallel.
-// Unlike the report variant it folds the failure ledger into a single
-// error, but it still returns the completed portion of the matrix alongside
-// that error so callers can salvage partial campaigns.
-func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error) {
-	rep, err := RunMatrixCtx(o.ctx(), o, wls, scens)
-	if err != nil {
-		return rep.Matrix, err
-	}
-	return rep.Matrix, rep.Err()
-}
-
-// RunMatrixCtx simulates every workload under every scenario as one
-// campaign: each (scenario, workload) pair becomes a cell of a dependency-
-// free DAG executed on the campaign engine's sharded work-stealing pool,
-// with the engine's fault isolation (a panicking or erroring run becomes a
-// typed failure-ledger entry; retryable failures retry with backoff per
+// RunMatrix simulates every workload under every scenario as one campaign:
+// each (scenario, workload) pair becomes a cell of a dependency-free DAG
+// executed on the campaign engine's sharded work-stealing pool, with the
+// engine's fault isolation (a panicking or erroring run becomes a typed
+// failure-ledger entry; retryable failures retry with backoff per
 // campaign.WithRetries) and, per the other Options.Campaign options, its
-// content-addressed result cache and checkpoint manifest. The returned
-// error is non-nil only when ctx itself is cancelled or expires (or the
-// cache/manifest is unusable); the report then holds whatever completed
-// before teardown.
-func RunMatrixCtx(ctx context.Context, o Options, wls []trace.Workload, scens []Scenario) (*MatrixReport, error) {
+// content-addressed result cache and checkpoint manifest. The completed
+// portion of the matrix is always returned, so callers can salvage partial
+// campaigns. The error is the context's when Options.Ctx is cancelled or
+// expires (or the cache's or manifest's when it is unusable), else a
+// *MatrixError when any run failed.
+func RunMatrix(o Options, wls []trace.Workload, scens []Scenario) (Matrix, error) {
 	o = o.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	spec := campaign.Spec{Name: "matrix", Cells: make([]campaign.Cell, 0, len(scens)*len(wls))}
 	for _, sc := range scens {
 		for _, wl := range wls {
@@ -253,36 +200,39 @@ func RunMatrixCtx(ctx context.Context, o Options, wls []trace.Workload, scens []
 			})
 		}
 	}
-	rep := &MatrixReport{Matrix: Matrix{}, Total: len(spec.Cells)}
-	crep, err := campaign.Run(ctx, spec, o.Campaign...)
+	m := Matrix{}
+	crep, err := campaign.Run(o.ctx(), spec, o.Campaign...)
 	if crep == nil {
-		return rep, err
+		return m, err
 	}
 	if o.Totals != nil {
 		o.Totals.Add(crep)
 	}
-	rep.CacheHits, rep.Resumed, rep.Simulated = crep.CacheHits, crep.Resumed, crep.Simulated
 	for id, run := range crep.Runs {
 		scen, wl := splitCellID(id)
-		if rep.Matrix[scen] == nil {
-			rep.Matrix[scen] = map[string]*stats.Run{}
+		if m[scen] == nil {
+			m[scen] = map[string]*stats.Run{}
 		}
-		rep.Matrix[scen][wl] = run
+		m[scen][wl] = run
 	}
+	if err != nil || len(crep.Failures) == 0 {
+		return m, err
+	}
+	me := &MatrixError{Total: len(spec.Cells)}
 	for _, f := range crep.Failures {
 		scen, wl := splitCellID(f.ID)
-		rep.Failures = append(rep.Failures, RunFailure{
+		me.Failures = append(me.Failures, RunFailure{
 			Scenario: scen, Workload: wl, Attempts: f.Attempts, Err: f.Err,
 		})
 	}
-	sort.Slice(rep.Failures, func(i, j int) bool {
-		a, b := rep.Failures[i], rep.Failures[j]
+	sort.Slice(me.Failures, func(i, j int) bool {
+		a, b := me.Failures[i], me.Failures[j]
 		if a.Scenario != b.Scenario {
 			return a.Scenario < b.Scenario
 		}
 		return a.Workload < b.Workload
 	})
-	return rep, err
+	return m, me
 }
 
 // cellID names the campaign cell for one (scenario, workload) pair.
@@ -300,33 +250,15 @@ func splitCellID(id string) (scenario, workload string) {
 
 // Speedups returns the per-workload IPC speedups of scenario over base,
 // ordered like wls, along with the matching weights. Any missing pair is an
-// error naming every missing workload; degraded matrices should use
-// SpeedupsAvailable instead.
+// error naming every missing workload.
 func (m Matrix) Speedups(scen, base string, wls []trace.Workload) (sp, weights []float64, err error) {
-	sp, weights, missing := m.SpeedupsAvailable(scen, base, wls)
-	if m[scen] == nil || m[base] == nil {
+	s, b := m[scen], m[base]
+	if s == nil || b == nil {
 		return nil, nil, fmt.Errorf("experiments: scenario %q or %q missing", scen, base)
 	}
-	if len(missing) > 0 {
-		return nil, nil, fmt.Errorf("experiments: %s vs %s: %d run(s) missing: %s",
-			scen, base, len(missing), strings.Join(missing, ", "))
-	}
-	return sp, weights, nil
-}
-
-// SpeedupsAvailable is Speedups over the pairs present under both
-// scenarios: missing workloads are skipped and reported by name instead of
-// failing the reduction — the degraded-matrix accessor.
-func (m Matrix) SpeedupsAvailable(scen, base string, wls []trace.Workload) (sp, weights []float64, missing []string) {
-	s, b := m[scen], m[base]
+	var missing []string
 	for _, w := range wls {
-		var rs, rb *stats.Run
-		if s != nil {
-			rs = s[w.Name]
-		}
-		if b != nil {
-			rb = b[w.Name]
-		}
+		rs, rb := s[w.Name], b[w.Name]
 		if rs == nil || rb == nil {
 			missing = append(missing, w.Name)
 			continue
@@ -334,7 +266,11 @@ func (m Matrix) SpeedupsAvailable(scen, base string, wls []trace.Workload) (sp, 
 		sp = append(sp, stats.Speedup(rs, rb))
 		weights = append(weights, w.Weight)
 	}
-	return sp, weights, missing
+	if len(missing) > 0 {
+		return nil, nil, fmt.Errorf("experiments: %s vs %s: %d run(s) missing: %s",
+			scen, base, len(missing), strings.Join(missing, ", "))
+	}
+	return sp, weights, nil
 }
 
 // Geomean returns the weighted geomean speedup of scen over base,
@@ -345,18 +281,6 @@ func (m Matrix) Geomean(scen, base string, wls []trace.Workload) (float64, error
 		return 0, err
 	}
 	return stats.WeightedGeomean(sp, w)
-}
-
-// GeomeanAvailable returns the weighted geomean speedup over the surviving
-// workloads of a degraded matrix, along with the names skipped. It errors
-// only when no pair at all survives.
-func (m Matrix) GeomeanAvailable(scen, base string, wls []trace.Workload) (g float64, missing []string, err error) {
-	sp, w, missing := m.SpeedupsAvailable(scen, base, wls)
-	if len(sp) == 0 {
-		return 0, missing, fmt.Errorf("experiments: no surviving (%s, %s) pairs over %d workloads", scen, base, len(wls))
-	}
-	g, err = stats.WeightedGeomean(sp, w)
-	return g, missing, err
 }
 
 // bySuite groups workloads by suite name, sorted.

@@ -54,20 +54,18 @@ func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 		}
 	}
 
-	rep, err := RunMatrixCtx(context.Background(), o, wls, scens)
-	if err != nil {
-		t.Fatalf("campaign-level error: %v", err)
+	m, err := RunMatrix(o, wls, scens)
+	var me *MatrixError
+	if !errors.As(err, &me) {
+		t.Fatalf("error %v is not a *MatrixError despite a poisoned workload", err)
 	}
-	if rep.Complete() {
-		t.Fatal("report claims completeness despite a poisoned workload")
-	}
-	if rep.Total != len(scens)*len(wls) {
-		t.Fatalf("total = %d", rep.Total)
+	if me.Total != len(scens)*len(wls) {
+		t.Fatalf("total = %d", me.Total)
 	}
 
 	// Every non-poisoned pair completed.
 	for _, sc := range scens {
-		runs := rep.Matrix[sc.Name]
+		runs := m[sc.Name]
 		if runs == nil {
 			t.Fatalf("scenario %s missing entirely", sc.Name)
 		}
@@ -82,10 +80,10 @@ func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 	}
 
 	// The ledger lists exactly the poisoned pairs, as recovered panics.
-	if len(rep.Failures) != len(scens) {
-		t.Fatalf("ledger has %d entries, want %d: %+v", len(rep.Failures), len(scens), rep.Failures)
+	if len(me.Failures) != len(scens) {
+		t.Fatalf("ledger has %d entries, want %d: %+v", len(me.Failures), len(scens), me.Failures)
 	}
-	for _, f := range rep.Failures {
+	for i, f := range me.Failures {
 		if f.Workload != poisoned.Name {
 			t.Fatalf("unexpected failure %s/%s: %v", f.Scenario, f.Workload, f.Err)
 		}
@@ -93,37 +91,25 @@ func TestDegradedMatrixSurvivesPoisonedWorkload(t *testing.T) {
 		if !errors.As(f.Err, &re) || !re.Panicked {
 			t.Fatalf("failure %s/%s is not a recovered panic: %v", f.Scenario, f.Workload, f.Err)
 		}
+		if i > 0 && me.Failures[i-1].Scenario >= f.Scenario {
+			t.Fatalf("ledger not sorted by scenario: %+v", me.Failures)
+		}
 	}
-	if fw := rep.FailedWorkloads(); len(fw) != 1 || fw[0] != poisoned.Name {
-		t.Fatalf("failed workloads = %v", fw)
-	}
-	if rep.Err() == nil {
-		t.Fatal("aggregated error missing")
+	// The aggregated error unwraps to the first failure's typed cause.
+	var re *sim.RunError
+	if !errors.As(err, &re) || !re.Panicked || !strings.Contains(err.Error(), poisoned.Name) {
+		t.Fatalf("aggregated error %v does not unwrap to the first recovered panic", err)
 	}
 
-	// Degraded reductions: the strict accessor names the missing pair, the
-	// Available accessors compute over the survivors.
-	if _, _, err := rep.Matrix.Speedups("Permit PGC", "Discard PGC", wls); err == nil {
+	// The strict reductions name the missing pair; the survivors reduce
+	// once the degraded workload is left out.
+	if _, _, err := m.Speedups("Permit PGC", "Discard PGC", wls); err == nil {
 		t.Fatal("strict Speedups accepted a degraded matrix")
 	} else if !strings.Contains(err.Error(), poisoned.Name) {
 		t.Fatalf("strict Speedups error does not name the missing pair: %v", err)
 	}
-	sp, weights, missing := rep.Matrix.SpeedupsAvailable("Permit PGC", "Discard PGC", wls)
-	if len(sp) != len(good) || len(weights) != len(good) {
-		t.Fatalf("surviving speedups = %d, want %d", len(sp), len(good))
-	}
-	if len(missing) != 1 || missing[0] != poisoned.Name {
-		t.Fatalf("missing = %v", missing)
-	}
-	g, missing, err := rep.Matrix.GeomeanAvailable("Permit PGC", "Discard PGC", wls)
-	if err != nil {
-		t.Fatalf("degraded geomean: %v", err)
-	}
-	if g <= 0 {
-		t.Fatalf("degraded geomean = %g", g)
-	}
-	if len(missing) != 1 {
-		t.Fatalf("geomean missing = %v", missing)
+	if g, err := m.Geomean("Permit PGC", "Discard PGC", good); err != nil || g <= 0 {
+		t.Fatalf("geomean over the surviving workloads = %g, %v", g, err)
 	}
 }
 
@@ -154,23 +140,25 @@ func TestRunMatrixReturnsPartialOnError(t *testing.T) {
 	}
 }
 
-func TestRunMatrixCtxCancellationIsPrompt(t *testing.T) {
+func TestRunMatrixCancellationIsPrompt(t *testing.T) {
 	wls := tinySet(t)
-	o := Options{Warmup: 0, Instrs: 2_000_000_000, Campaign: []campaign.Option{campaign.WithWorkers(2)}}
-
 	ctx, cancel := context.WithCancel(context.Background())
+	totals := &campaign.Totals{}
+	o := Options{Warmup: 0, Instrs: 2_000_000_000, Ctx: ctx, Totals: totals,
+		Campaign: []campaign.Option{campaign.WithWorkers(2)}}
+
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	rep, err := RunMatrixCtx(ctx, o, wls, sevenScenarios())
+	m, err := RunMatrix(o, wls, sevenScenarios())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep == nil {
-		t.Fatal("report missing on cancellation")
+	if m == nil {
+		t.Fatal("matrix missing on cancellation")
 	}
 	// Teardown is bounded by the watchdog poll grain (microseconds of
 	// simulated work per check), not the multi-minute instruction budget;
@@ -179,8 +167,8 @@ func TestRunMatrixCtxCancellationIsPrompt(t *testing.T) {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
 	// Cancelled runs are not individual failures.
-	for _, f := range rep.Failures {
-		t.Fatalf("cancellation produced ledger entry %s/%s: %v", f.Scenario, f.Workload, f.Err)
+	if totals.Failed != 0 {
+		t.Fatalf("cancellation produced %d ledger entries", totals.Failed)
 	}
 }
 
@@ -192,14 +180,11 @@ func TestRunMatrixRetriesTransientFailures(t *testing.T) {
 	o.Configure = func(cfg *sim.Config, scenario string, wl trace.Workload) {
 		cfg.FaultInject = inj
 	}
-	rep, err := RunMatrixCtx(context.Background(), o, wls, []Scenario{scenarioDiscard()})
+	m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard()})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("transient failures not absorbed: %v", err)
 	}
-	if !rep.Complete() {
-		t.Fatalf("transient failures not absorbed: %+v", rep.Failures)
-	}
-	if rep.Matrix["Discard PGC"][wls[0].Name] == nil {
+	if m["Discard PGC"][wls[0].Name] == nil {
 		t.Fatal("run missing after retries")
 	}
 	if inj.Attempts() != 3 {
@@ -216,14 +201,12 @@ func TestRunMatrixDoesNotRetryDeterministicStalls(t *testing.T) {
 	o.Configure = func(cfg *sim.Config, scenario string, wl trace.Workload) {
 		cfg.FaultInject = inj
 	}
-	rep, err := RunMatrixCtx(context.Background(), o, wls, []Scenario{scenarioDiscard()})
-	if err != nil {
-		t.Fatal(err)
+	_, err := RunMatrix(o, wls, []Scenario{scenarioDiscard()})
+	var me *MatrixError
+	if !errors.As(err, &me) || len(me.Failures) != 1 {
+		t.Fatalf("err = %v, want a one-entry ledger", err)
 	}
-	if len(rep.Failures) != 1 {
-		t.Fatalf("failures = %+v", rep.Failures)
-	}
-	f := rep.Failures[0]
+	f := me.Failures[0]
 	if f.Attempts != 1 {
 		t.Fatalf("deterministic stall retried %d times", f.Attempts)
 	}
@@ -237,8 +220,8 @@ func TestRunMatrixDoesNotRetryDeterministicStalls(t *testing.T) {
 // injected MSHR leak on one workload of a checked matrix must land in the
 // failure ledger as a RunError with stage "check" wrapping a *sim.CheckError
 // — never as a generic recovered panic — for both FailFast (panic unwind)
-// and accumulate (returned error) modes, and CheckFailures must isolate
-// exactly those entries.
+// and accumulate (returned error) modes, and sim.CheckFailure must find the
+// violation in exactly those entries.
 func TestMatrixLedgersCheckViolations(t *testing.T) {
 	for _, failFast := range []bool{false, true} {
 		name := "accumulate"
@@ -258,22 +241,21 @@ func TestMatrixLedgersCheckViolations(t *testing.T) {
 				}
 			}
 
-			rep, err := RunMatrixCtx(context.Background(), o, wls, []Scenario{scenarioDiscard(), scenarioDripper()})
-			if err != nil {
-				t.Fatalf("campaign-level error: %v", err)
+			m, err := RunMatrix(o, wls, []Scenario{scenarioDiscard(), scenarioDripper()})
+			var me *MatrixError
+			if !errors.As(err, &me) {
+				t.Fatalf("err = %v, want a *MatrixError", err)
 			}
 			// Healthy pairs completed under full checking.
 			for _, sc := range []string{"Discard PGC", "DRIPPER"} {
-				if rep.Matrix[sc][good[0].Name] == nil {
+				if m[sc][good[0].Name] == nil {
 					t.Fatalf("checked run %s/%s missing", sc, good[0].Name)
 				}
 			}
-			cf := rep.CheckFailures()
-			if len(cf) != 2 || len(cf) != len(rep.Failures) {
-				t.Fatalf("check failures = %d of %d ledger entries, want 2 of 2: %+v",
-					len(cf), len(rep.Failures), rep.Failures)
+			if len(me.Failures) != 2 {
+				t.Fatalf("ledger has %d entries, want 2: %+v", len(me.Failures), me.Failures)
 			}
-			for _, f := range cf {
+			for _, f := range me.Failures {
 				if f.Workload != leaky.Name {
 					t.Fatalf("unexpected check failure %s/%s: %v", f.Scenario, f.Workload, f.Err)
 				}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -268,6 +269,69 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	cfg.L2CPrefetcher = "bogus"
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bogus L2C prefetcher accepted")
+	}
+}
+
+// TestConfigVocabularies builds a System for every name of every vocabulary
+// table, runs each L1I prefetcher briefly, and checks that Validate and New
+// both reject an unknown name in each knob.
+func TestConfigVocabularies(t *testing.T) {
+	knobs := []struct {
+		knob  string
+		names []string
+		set   func(*Config, string)
+		built func(*System) bool
+	}{
+		{"L1DPrefetcher", names(l1dPrefetchers),
+			func(c *Config, n string) { c.L1DPrefetcher = n },
+			func(s *System) bool { return s.L1DPf != nil }},
+		{"L1DPrefetcher ISO", names(l1dPrefetchers),
+			func(c *Config, n string) { c.L1DPrefetcher, c.ISOStorage = n, true },
+			func(s *System) bool { return s.L1DPf != nil }},
+		{"L2CPrefetcher", names(l2cPrefetchers),
+			func(c *Config, n string) { c.L2CPrefetcher = n },
+			func(s *System) bool { return s.L2CPf != nil }},
+		{"L1IPrefetcher", names(l1iPrefetchers),
+			func(c *Config, n string) { c.L1IPrefetcher = n },
+			func(s *System) bool { return s.L1IPf != nil }},
+		{"Policy", names(policies),
+			func(c *Config, n string) { c.Policy = PolicyKind(n) },
+			func(s *System) bool { return s.Policy != nil }},
+	}
+	w := streamWorkload(t)
+	for _, k := range knobs {
+		for _, name := range append(k.names, "") {
+			cfg := testConfig(PolicyDiscard)
+			k.set(&cfg, name)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s %q: Validate: %v", k.knob, name, err)
+			}
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s %q: New: %v", k.knob, name, err)
+			}
+			want := name != "none" && (name != "" || k.knob == "Policy")
+			if got := k.built(sys); got != want {
+				t.Errorf("%s %q: component built = %v, want %v", k.knob, name, got, want)
+			}
+			if k.knob == "L1IPrefetcher" {
+				cfg.WarmupInstrs, cfg.SimInstrs = 2_000, 5_000
+				if _, err := RunWorkload(context.Background(), cfg, w); err != nil {
+					t.Fatalf("%s %q: %v", k.knob, name, err)
+				}
+			}
+		}
+		cfg := testConfig(PolicyDiscard)
+		k.set(&cfg, "bogus")
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%s: Validate accepted an unknown name (err %v)", k.knob, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted an unknown name", k.knob)
+		}
+	}
+	if got := DefaultConfig().L1IPrefetcher; got != "nextline" {
+		t.Errorf("default L1I prefetcher = %q, want nextline", got)
 	}
 }
 

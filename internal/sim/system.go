@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -53,14 +54,11 @@ type Config struct {
 	DRAM dram.Config
 	VMem vmem.Config
 
-	// L1DPrefetcher selects "berti", "ipcp", "bop" or "none".
+	// L1DPrefetcher, L2CPrefetcher and L1IPrefetcher name an engine from
+	// their vocabulary tables below ("" is none); L1DPrefetcherNames and
+	// L2CPrefetcherNames list the accepted names.
 	L1DPrefetcher string
-	// L2CPrefetcher selects "none", "spp", "ipcp", "bop" (§V-B7).
 	L2CPrefetcher string
-	// L1INextLine enables the L1I next-line prefetcher.
-	L1INextLine bool
-	// L1IPrefetcher optionally selects a specific instruction prefetcher:
-	// "nextline" (default when L1INextLine is set), "fnl+mma", or "none".
 	L1IPrefetcher string
 
 	// Policy selects the page-cross policy; FilterConfig overrides the
@@ -177,7 +175,7 @@ func DefaultConfig() Config {
 
 		L1DPrefetcher:     "berti",
 		L2CPrefetcher:     "none",
-		L1INextLine:       true,
+		L1IPrefetcher:     "nextline",
 		Policy:            PolicyDiscard,
 		MaxPrefetchDegree: 4,
 		WarmupInstrs:      250_000,
@@ -245,10 +243,6 @@ type System struct {
 	// Epoch bookkeeping: snapshots of the counters at the last epoch.
 	epochSnap epochCounters
 
-	// DebugLoadLatency, when non-nil, observes every demand load's
-	// (request cycle, ready cycle); diagnostics only.
-	DebugLoadLatency func(cycle, ready uint64)
-
 	// checker is the lockstep oracle; nil unless Config.Check.Enabled, and
 	// every hot-path hook guards on that nil.
 	checker *oracle.Checker
@@ -263,81 +257,140 @@ type epochCounters struct {
 	pgcUseful, pgcUseless uint64
 }
 
-// newPrefetcher builds the named L1D engine.
-func newPrefetcher(name string, iso bool) (prefetch.Prefetcher, error) {
-	// The ISO-Storage scenario spends DRIPPER's 1.44KB budget on the
-	// prefetcher's main table instead (doubling it comfortably covers it).
-	switch name {
-	case "berti":
-		if iso {
-			return prefetch.NewBertiSized(512), nil
-		}
-		return prefetch.NewBerti(), nil
-	case "ipcp":
-		if iso {
-			return prefetch.NewIPCPSized(1024), nil
-		}
-		return prefetch.NewIPCP(), nil
-	case "bop":
-		if iso {
-			return prefetch.NewBOPSized(512), nil
-		}
-		return prefetch.NewBOP(), nil
-	case "stride":
-		return prefetch.NewStride(), nil
-	case "sms":
-		return prefetch.NewSMS(), nil
-	case "none", "":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("sim: unknown L1D prefetcher %q", name)
+// The configuration vocabularies: one name table per knob. newSystem builds
+// the named components from them, Validate rejects names they lack, and the
+// CLIs print their keys as flag help (see the *Names functions).
+
+// newPrefetcher builds one prefetch engine.
+type newPrefetcher func() prefetch.Prefetcher
+
+// l1dPrefetchers is the L1D prefetcher vocabulary ("" means "none"). newISO
+// builds the ISO-Storage variant, which spends DRIPPER's 1.44KB budget on the
+// prefetcher's main table instead (doubling it comfortably covers it); an
+// engine without one runs unchanged under ISO-Storage.
+var l1dPrefetchers = map[string]struct{ new, newISO newPrefetcher }{
+	"berti":  {pf(prefetch.NewBerti), sized(prefetch.NewBertiSized, 512)},
+	"ipcp":   {pf(prefetch.NewIPCP), sized(prefetch.NewIPCPSized, 1024)},
+	"bop":    {pf(prefetch.NewBOP), sized(prefetch.NewBOPSized, 512)},
+	"stride": {new: pf(prefetch.NewStride)},
+	"sms":    {new: pf(prefetch.NewSMS)},
+	"none":   {},
 }
 
-// newPolicy builds the configured page-cross policy.
-func newPolicy(cfg Config) (core.Policy, error) {
-	if cfg.ISOStorage {
+// l2cPrefetchers is the L2C prefetcher vocabulary of §V-B7 ("" means "none").
+var l2cPrefetchers = map[string]newPrefetcher{
+	"spp":  pf(prefetch.NewSPP),
+	"ipcp": pf(prefetch.NewIPCP),
+	"bop":  pf(prefetch.NewBOP),
+	"none": nil,
+}
+
+// l1iPrefetchers is the L1I prefetcher vocabulary ("" means "none").
+var l1iPrefetchers = map[string]newPrefetcher{
+	"nextline": func() prefetch.Prefetcher { return &prefetch.NextLine{} },
+	"fnl+mma":  pf(prefetch.NewFNLMMA),
+	"none":     nil,
+}
+
+// pf and sized adapt the prefetch package's constructors to newPrefetcher.
+func pf[T prefetch.Prefetcher](f func() T) newPrefetcher {
+	return func() prefetch.Prefetcher { return f() }
+}
+
+func sized[T prefetch.Prefetcher](f func(int) T, n int) newPrefetcher {
+	return func() prefetch.Prefetcher { return f(n) }
+}
+
+// policies is the page-cross policy vocabulary of §V-A ("" means Discard).
+// Each entry builds the policy for the configured L1D prefetcher, whose name
+// selects DRIPPER's feature set.
+var policies = map[PolicyKind]func(l1dPrefetcher string) (core.Policy, error){
+	PolicyPermit:     func(string) (core.Policy, error) { return core.PermitPGC{}, nil },
+	PolicyDiscard:    func(string) (core.Policy, error) { return core.DiscardPGC{}, nil },
+	PolicyDiscardPTW: func(string) (core.Policy, error) { return core.DiscardPTW{}, nil },
+	PolicyDripper:    func(pf string) (core.Policy, error) { return filterPolicy(core.DefaultDripperConfig(pf)) },
+	PolicyPPF:        func(string) (core.Policy, error) { return filterPolicy(core.PPFConfig()) },
+	PolicyPPFDthr:    func(string) (core.Policy, error) { return filterPolicy(core.PPFDthrConfig()) },
+	PolicyDripperSF:  func(pf string) (core.Policy, error) { return filterPolicy(core.DripperSFConfig(pf)) },
+}
+
+func filterPolicy(cfg core.Config) (core.Policy, error) {
+	f, err := core.NewFilter(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewFilterPolicy(f), nil
+}
+
+// lookup resolves name in a vocabulary table, reading "" as empty.
+func lookup[K ~string, V any](table map[K]V, what string, name, empty K) (V, error) {
+	if name == "" {
+		name = empty
+	}
+	v, ok := table[name]
+	if !ok {
+		return v, fmt.Errorf("sim: unknown %s %q", what, name)
+	}
+	return v, nil
+}
+
+func (c Config) l1dPrefetcher() (newPrefetcher, error) {
+	e, err := lookup(l1dPrefetchers, "L1D prefetcher", c.L1DPrefetcher, "none")
+	if c.ISOStorage && e.newISO != nil {
+		return e.newISO, err
+	}
+	return e.new, err
+}
+
+func (c Config) l2cPrefetcher() (newPrefetcher, error) {
+	return lookup(l2cPrefetchers, "L2C prefetcher", c.L2CPrefetcher, "none")
+}
+
+func (c Config) l1iPrefetcher() (newPrefetcher, error) {
+	return lookup(l1iPrefetchers, "L1I prefetcher", c.L1IPrefetcher, "none")
+}
+
+// policy builds the configured page-cross policy. ISO-Storage forces Permit
+// and FilterConfig overrides the named policy, but the name must still be
+// one the vocabulary knows.
+func (c Config) policy() (core.Policy, error) {
+	build, err := lookup(policies, "policy", c.Policy, PolicyDiscard)
+	switch {
+	case err != nil:
+		return nil, err
+	case c.ISOStorage:
 		return core.PermitPGC{}, nil
+	case c.FilterConfig != nil:
+		return filterPolicy(*c.FilterConfig)
 	}
-	if cfg.FilterConfig != nil {
-		f, err := core.NewFilter(*cfg.FilterConfig)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
+	return build(c.L1DPrefetcher)
+}
+
+// Validate rejects a configuration before anything is simulated: an unknown
+// prefetcher or policy name, or an impossible sampling schedule. The CLIs
+// check their flags with it and the daemon its submitted cells, so a typo
+// fails there instead of at a cell's "build" stage.
+func (c Config) Validate() error {
+	_, l1d := c.l1dPrefetcher()
+	_, l2c := c.l2cPrefetcher()
+	_, l1i := c.l1iPrefetcher()
+	_, pol := lookup(policies, "policy", c.Policy, PolicyDiscard)
+	return errors.Join(l1d, l2c, l1i, pol, c.Sample.Validate())
+}
+
+// L1DPrefetcherNames, L2CPrefetcherNames and PolicyNames list the names a
+// Config accepts for the corresponding knob, sorted, for help text.
+func L1DPrefetcherNames() []string { return names(l1dPrefetchers) }
+func L2CPrefetcherNames() []string { return names(l2cPrefetchers) }
+func PolicyNames() []string        { return names(policies) }
+
+func names[K ~string, V any](table map[K]V) []string {
+	out := make([]string, 0, len(table))
+	for k := range table {
+		out = append(out, string(k))
 	}
-	switch cfg.Policy {
-	case PolicyPermit:
-		return core.PermitPGC{}, nil
-	case PolicyDiscard, "":
-		return core.DiscardPGC{}, nil
-	case PolicyDiscardPTW:
-		return core.DiscardPTW{}, nil
-	case PolicyDripper:
-		f, err := core.NewFilter(core.DefaultDripperConfig(cfg.L1DPrefetcher))
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	case PolicyPPF:
-		f, err := core.NewFilter(core.PPFConfig())
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	case PolicyPPFDthr:
-		f, err := core.NewFilter(core.PPFDthrConfig())
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	case PolicyDripperSF:
-		f, err := core.NewFilter(core.DripperSFConfig(cfg.L1DPrefetcher))
-		if err != nil {
-			return nil, err
-		}
-		return core.NewFilterPolicy(f), nil
-	}
-	return nil, fmt.Errorf("sim: unknown policy %q", cfg.Policy)
+	sort.Strings(out)
+	return out
 }
 
 // New builds a system. sharedLLC and sharedDRAM may be nil (private) or
@@ -369,17 +422,12 @@ func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*Syst
 	}
 	// The L2 adapter trains the L2C prefetcher on the physical stream.
 	var l2Level cache.Level = s.L2C
-	if cfg.L2CPrefetcher != "" && cfg.L2CPrefetcher != "none" {
-		switch cfg.L2CPrefetcher {
-		case "spp":
-			s.L2CPf = prefetch.NewSPP()
-		case "ipcp":
-			s.L2CPf = prefetch.NewIPCP()
-		case "bop":
-			s.L2CPf = prefetch.NewBOP()
-		default:
-			return nil, fmt.Errorf("sim: unknown L2C prefetcher %q", cfg.L2CPrefetcher)
-		}
+	newL2CPf, err := cfg.l2cPrefetcher()
+	if err != nil {
+		return nil, err
+	}
+	if newL2CPf != nil {
+		s.L2CPf = newL2CPf()
 		l2Level = &l2Adapter{sys: s}
 	}
 	if s.L1D, err = cache.New(cfg.L1D, l2Level); err != nil {
@@ -392,26 +440,24 @@ func newSystem(cfg Config, sharedLLC *cache.Cache, sharedDRAM *dram.DRAM) (*Syst
 		return nil, err
 	}
 
-	if s.L1DPf, err = newPrefetcher(cfg.L1DPrefetcher, cfg.ISOStorage); err != nil {
+	newL1DPf, err := cfg.l1dPrefetcher()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.FDPThrottle && s.L1DPf != nil {
-		s.L1DPf = prefetch.NewThrottle(s.L1DPf)
-	}
-	switch cfg.L1IPrefetcher {
-	case "fnl+mma":
-		s.L1IPf = prefetch.NewFNLMMA()
-	case "nextline":
-		s.L1IPf = &prefetch.NextLine{}
-	case "none":
-	case "":
-		if cfg.L1INextLine {
-			s.L1IPf = &prefetch.NextLine{}
+	if newL1DPf != nil {
+		s.L1DPf = newL1DPf()
+		if cfg.FDPThrottle {
+			s.L1DPf = prefetch.NewThrottle(s.L1DPf)
 		}
-	default:
-		return nil, fmt.Errorf("sim: unknown L1I prefetcher %q", cfg.L1IPrefetcher)
 	}
-	if s.Policy, err = newPolicy(cfg); err != nil {
+	newL1IPf, err := cfg.l1iPrefetcher()
+	if err != nil {
+		return nil, err
+	}
+	if newL1IPf != nil {
+		s.L1IPf = newL1IPf()
+	}
+	if s.Policy, err = cfg.policy(); err != nil {
 		return nil, err
 	}
 
@@ -575,9 +621,6 @@ func (s *System) demandAccess(pc, va uint64, cycle uint64, kind mem.AccessType) 
 	// prefetch decisions.
 	s.prevVA2, s.prevVA1 = s.prevVA1, va
 	s.prevPC2, s.prevPC1 = s.prevPC1, pc
-	if s.DebugLoadLatency != nil && kind == mem.Load {
-		s.DebugLoadLatency(res.Ready, ready)
-	}
 	return ready
 }
 

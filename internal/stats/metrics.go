@@ -13,7 +13,6 @@ func (s *CacheStats) RegisterMetrics(r *metrics.Registry, prefix string) {
 	reg("demand_accesses", &s.DemandAccesses)
 	reg("demand_hits", &s.DemandHits)
 	reg("demand_misses", &s.DemandMisses)
-	reg("prefetch_issued", &s.PrefetchIssued)
 	reg("prefetch_hits", &s.PrefetchHits)
 	reg("prefetch_fills", &s.PrefetchFills)
 	reg("useful_prefetches", &s.UsefulPrefetches)

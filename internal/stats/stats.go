@@ -16,9 +16,8 @@ type CacheStats struct {
 	DemandHits     uint64
 	DemandMisses   uint64
 
-	PrefetchIssued uint64 // prefetch fills requested at this level
-	PrefetchHits   uint64 // prefetches that found the block already present
-	PrefetchFills  uint64 // prefetched blocks actually installed
+	PrefetchHits  uint64 // prefetches that found the block already present
+	PrefetchFills uint64 // prefetched blocks actually installed
 
 	UsefulPrefetches  uint64 // prefetched blocks that served >=1 demand hit
 	UselessPrefetches uint64 // prefetched blocks evicted without any hit
